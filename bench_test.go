@@ -90,8 +90,12 @@ func BenchmarkFig14Encodings(b *testing.B) {
 // testbed; shapes compare, absolute values are this store's).
 func BenchmarkFig15Queries(b *testing.B) {
 	reg := server.NewResourceRegistry(nil, nil)
-	srv := server.New(reg, server.EncodingSmart)
-	starts := experiments.PopulateQueryStore(srv, 2000, 12)
+	srv := server.NewSharded(reg, server.EncodingSmart, 0, 1)
+	defer srv.Close()
+	starts, err := experiments.PopulateQueryStore(srv, 2000, 12)
+	if err != nil {
+		b.Fatal(err)
+	}
 
 	b.Run("trace-query", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {

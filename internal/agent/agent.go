@@ -2,6 +2,7 @@ package agent
 
 import (
 	"io"
+	"sort"
 	"strings"
 	"time"
 
@@ -35,13 +36,6 @@ const (
 // is aliased here for the agent-facing API.
 type FlowSample = transport.FlowSample
 
-// Sink receives the agent's output (the DeepFlow server implements it).
-type Sink interface {
-	IngestSpan(*trace.Span)
-	IngestFlow(FlowSample)
-	IngestProfile(profiling.Sample)
-}
-
 // Config tunes an agent deployment.
 type Config struct {
 	Mode         Mode
@@ -52,12 +46,6 @@ type Config struct {
 
 	// VPCID is the smart-encoding phase-1 tag injected by the agent.
 	VPCID int32
-
-	// Wire selects the batch wire encoding used when the sink implements
-	// BatchSink. The zero value is transport.WireSmart — ints only, the
-	// paper's smart encoding — which production deployments keep; the
-	// alternatives exist so experiments can measure bytes on the wire.
-	Wire transport.WireEncoding
 
 	// HookCost is the per-hook latency the eBPF plane adds to each
 	// syscall; AgentCost is the additional user-space processing share in
@@ -120,11 +108,9 @@ type Agent struct {
 	tracer  *SysTracer
 	sysSess *Sessionizer
 	nicSess *Sessionizer
-	sink    Sink
 
-	// out is the delivery path wrapped around sink: batched wire shipping
-	// when the sink implements BatchSink, per-item calls otherwise.
-	out shipper
+	// out buffers each flush window and ships it to the sink as one batch.
+	out *batchShipper
 
 	flows      map[trace.FiveTuple]*flowMetrics
 	sockTuples map[trace.SocketID]trace.FiveTuple
@@ -173,15 +159,14 @@ type flowMetrics struct {
 }
 
 // New creates an agent for host delivering to sink.
-func New(host *simnet.Host, cfg Config, sink Sink) (*Agent, error) {
+func New(host *simnet.Host, cfg Config, sink BatchSink) (*Agent, error) {
 	if cfg.PerfCapacity == 0 {
 		cfg.PerfCapacity = 65536
 	}
 	a := &Agent{
 		Host:       host,
 		Cfg:        cfg,
-		sink:       sink,
-		out:        newShipper(sink, cfg.Wire),
+		out:        &batchShipper{sink: sink},
 		flows:      make(map[trace.FiveTuple]*flowMetrics),
 		sockTuples: make(map[trace.SocketID]trace.FiveTuple),
 		scratch:    make([]byte, simkernel.CtxSize),
@@ -268,11 +253,9 @@ func (a *Agent) instrument() {
 		mon.GaugeFunc("deepflow_agent_profile_stacks_interned", func() float64 { return float64(prof.Stacks.Len()) })
 	}
 
-	if bs, ok := a.out.(*batchShipper); ok {
-		bs.shipped = mon.Counter("deepflow_agent_batches_shipped")
-		bs.bytes = mon.Counter("deepflow_agent_batch_bytes")
-		bs.errors = mon.Counter("deepflow_agent_batch_errors")
-	}
+	a.out.shipped = mon.Counter("deepflow_agent_batches_shipped")
+	a.out.bytes = mon.Counter("deepflow_agent_batch_bytes")
+	a.out.errors = mon.Counter("deepflow_agent_batch_errors")
 
 	if a.monOn {
 		a.sysSess.instrument(mon, "syscall")
@@ -614,9 +597,7 @@ func (a *Agent) emitSpan(sp *trace.Span) {
 	if fm := a.flows[sp.Flow.Canonical()]; fm != nil {
 		sp.Net = fm.total
 	}
-	if a.out != nil {
-		a.out.span(sp)
-	}
+	a.out.span(sp)
 }
 
 // IngestOTel integrates a third-party framework span (paper §3.3.2,
@@ -639,7 +620,7 @@ func (a *Agent) Flush(now time.Time) {
 	a.nicSess.Flush(now)
 	a.flushFlows(now)
 	a.flushProfiles()
-	a.shipOut()
+	a.out.ship(a.Host.Name)
 	if a.monOn {
 		a.mFlushDur.ObserveDuration(time.Since(t0))
 	}
@@ -667,18 +648,9 @@ func (a *Agent) FlushAll() {
 	a.nicSess.FlushAll()
 	a.flushFlows(a.Host.Net.Eng.Now())
 	a.flushProfiles()
-	a.shipOut()
+	a.out.ship(a.Host.Name)
 	if a.monOn {
 		a.mFlushDur.ObserveDuration(time.Since(t0))
-	}
-}
-
-// shipOut closes the current flush window: on the wire path, the buffered
-// batch is encoded and shipped in one IngestBatch call (the paper's
-// once-per-window export); on the per-item path it is a no-op.
-func (a *Agent) shipOut() {
-	if a.out != nil {
-		a.out.ship(a.Host.Name)
 	}
 }
 
@@ -688,7 +660,7 @@ func (a *Agent) shipOut() {
 // does; the server's registry expands them to pod/service under smart
 // encoding, so profiles share the spans' tag vocabulary for free.
 func (a *Agent) flushProfiles() {
-	if a.Profiler == nil || a.out == nil {
+	if a.Profiler == nil {
 		return
 	}
 	for _, s := range a.Profiler.Scrape(a.Host.Name) {
@@ -701,22 +673,35 @@ func (a *Agent) flushProfiles() {
 	}
 }
 
+// flushFlows ships this window's flow samples: kernel flow stats in socket
+// order, then metric deltas in tuple order, so the batch stream is the same
+// on every run of a seed rather than following map order.
 func (a *Agent) flushFlows(now time.Time) {
-	if a.out == nil {
-		return
-	}
 	// In-kernel aggregated flow statistics (scrape-and-clear).
-	for sock, stat := range a.Progs.ScrapeFlowStats() {
+	stats := a.Progs.ScrapeFlowStats()
+	socks := make([]uint64, 0, len(stats))
+	for sock := range stats {
+		socks = append(socks, sock)
+	}
+	sort.Slice(socks, func(i, j int) bool { return socks[i] < socks[j] })
+	for _, sock := range socks {
 		tuple, ok := a.sockTuples[trace.SocketID(sock)]
 		if !ok {
 			continue
 		}
+		stat := stats[sock]
 		a.out.flow(FlowSample{
 			TS: now, Host: a.Host.Name, NIC: a.Host.NIC.Name,
 			Tuple: tuple, KernelPackets: stat.Packets, KernelBytes: stat.Bytes,
 		})
 	}
-	for tuple, fm := range a.flows {
+	tuples := make([]trace.FiveTuple, 0, len(a.flows))
+	for tuple := range a.flows {
+		tuples = append(tuples, tuple)
+	}
+	sort.Slice(tuples, func(i, j int) bool { return tupleLess(tuples[i], tuples[j]) })
+	for _, tuple := range tuples {
+		fm := a.flows[tuple]
 		delta := diffMetrics(fm.total, fm.lastFlush)
 		if delta == (trace.NetMetrics{}) {
 			continue
@@ -727,6 +712,22 @@ func (a *Agent) flushFlows(now time.Time) {
 			Tuple: tuple, Delta: delta,
 		})
 	}
+}
+
+func tupleLess(x, y trace.FiveTuple) bool {
+	if x.SrcIP != y.SrcIP {
+		return x.SrcIP < y.SrcIP
+	}
+	if x.DstIP != y.DstIP {
+		return x.DstIP < y.DstIP
+	}
+	if x.SrcPort != y.SrcPort {
+		return x.SrcPort < y.SrcPort
+	}
+	if x.DstPort != y.DstPort {
+		return x.DstPort < y.DstPort
+	}
+	return x.Proto < y.Proto
 }
 
 func diffMetrics(cur, prev trace.NetMetrics) trace.NetMetrics {

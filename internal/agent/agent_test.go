@@ -10,18 +10,26 @@ import (
 	"deepflow/internal/simkernel"
 	"deepflow/internal/simnet"
 	"deepflow/internal/trace"
+	"deepflow/internal/transport"
 )
 
-// memSink collects agent output in memory.
+// memSink decodes the batches an agent ships and collects their rows.
 type memSink struct {
 	spans    []*trace.Span
 	flows    []FlowSample
 	profiles []profiling.Sample
 }
 
-func (m *memSink) IngestSpan(s *trace.Span)         { m.spans = append(m.spans, s) }
-func (m *memSink) IngestFlow(f FlowSample)          { m.flows = append(m.flows, f) }
-func (m *memSink) IngestProfile(s profiling.Sample) { m.profiles = append(m.profiles, s) }
+func (m *memSink) IngestBatch(data []byte) error {
+	b, err := transport.Decode(data)
+	if err != nil {
+		return err
+	}
+	m.spans = append(m.spans, b.Spans...)
+	m.flows = append(m.flows, b.Flows...)
+	m.profiles = append(m.profiles, b.Profiles...)
+	return nil
+}
 
 func (m *memSink) byTap(side trace.TapSide) []*trace.Span {
 	var out []*trace.Span
@@ -446,6 +454,7 @@ func TestOTelIngest(t *testing.T) {
 	r := newRig(t, ModeFull)
 	sp := &trace.Span{TraceID: "abc123", SpanRef: "s1", RequestResource: "/app-span"}
 	r.agents[0].IngestOTel(sp)
+	r.flushAll()
 	if len(r.sink.spans) != 1 {
 		t.Fatal("otel span not ingested")
 	}

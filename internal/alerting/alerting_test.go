@@ -59,7 +59,7 @@ func ingestSpans(t *testing.T, s *server.Server, spans []*trace.Span) {
 }
 
 func newTestServer() *server.Server {
-	return server.New(server.NewResourceRegistry(nil, nil), server.EncodingSmart)
+	return server.NewSharded(server.NewResourceRegistry(nil, nil), server.EncodingSmart, 0, 1)
 }
 
 // TestWarmupSuppression: a deviation during the baseline warmup window must

@@ -27,8 +27,6 @@ import (
 type Options struct {
 	// Agent is the per-host agent configuration template.
 	Agent agent.Config
-	// Encoding selects the server's tag encoding (smart by default).
-	Encoding server.Encoding
 	// FlushInterval is the periodic session/metric flush cadence in
 	// virtual time (default 10s).
 	FlushInterval time.Duration
@@ -69,7 +67,6 @@ type Options struct {
 func DefaultOptions() Options {
 	return Options{
 		Agent:         agent.DefaultConfig(),
-		Encoding:      server.EncodingSmart,
 		FlushInterval: 10 * time.Second,
 	}
 }
@@ -120,7 +117,7 @@ func NewDeployment(env *microsim.Env, clusters []*k8s.Cluster, cl *cloud.Registr
 	d := &Deployment{
 		Env:      env,
 		Opts:     opts,
-		Server:   server.NewSharded(reg, opts.Encoding, 0, opts.Shards),
+		Server:   server.NewSharded(reg, server.EncodingSmart, 0, opts.Shards),
 		Registry: reg,
 		Cloud:    cl,
 		agents:   make(map[string]*agent.Agent),
@@ -252,8 +249,8 @@ func (d *Deployment) scheduleFlush() {
 			return
 		}
 		now := d.Env.Eng.Now()
-		for _, ag := range d.agents {
-			ag.Flush(now)
+		for _, name := range d.agentNames() {
+			d.agents[name].Flush(now)
 		}
 		// Wait for the ingest shards to absorb the shipped batches so the
 		// self-scrape below sees settled store state.
@@ -281,8 +278,8 @@ func (d *Deployment) scheduleFlush() {
 
 // FlushAll force-completes all open sessions (end of an experiment run).
 func (d *Deployment) FlushAll() {
-	for _, ag := range d.agents {
-		ag.FlushAll()
+	for _, name := range d.agentNames() {
+		d.agents[name].FlushAll()
 	}
 	d.Server.Drain()
 	now := d.Env.Eng.Now()
@@ -301,8 +298,8 @@ func (d *Deployment) FlushAll() {
 // users query (§3.4 correlation turned on DeepFlow itself). Runs on every
 // flush tick and at FlushAll.
 func (d *Deployment) ScrapeSelf(now time.Time) {
-	for _, ag := range d.agents {
-		ag.Mon.Export(d.Server.Metrics, now)
+	for _, name := range d.agentNames() {
+		d.agents[name].Mon.Export(d.Server.Metrics, now)
 	}
 	// Freshness lag is clock-relative, so recompute it at scrape time with
 	// the scrape's own clock.
@@ -338,7 +335,8 @@ func (d *Deployment) WriteSelfStats(w io.Writer) error {
 	return nil
 }
 
-// agentNames returns deployed host names sorted for deterministic output.
+// agentNames returns deployed host names sorted, so output, flushes and
+// scrapes follow one order on every run of a seed.
 func (d *Deployment) agentNames() []string {
 	hosts := make([]string, 0, len(d.agents))
 	for name := range d.agents {

@@ -8,6 +8,7 @@ import (
 	"deepflow/internal/server"
 	"deepflow/internal/sim"
 	"deepflow/internal/trace"
+	"deepflow/internal/transport"
 )
 
 // Fig15Row is one query type's measured latency.
@@ -18,13 +19,15 @@ type Fig15Row struct {
 	P90NS  float64
 }
 
-// populateQueryStore fills a store with `traces` assembled-together span
-// groups of `spansPer` spans each, spread over a two-hour window, linked
+// PopulateQueryStore fills a server with `traces` assembled-together span
+// groups of `spansPer` spans each, spread over a four-hour window, linked
 // the way real workloads link them (TCP seq between hops, systrace within
-// components).
-func populateQueryStore(srv *server.Server, traces, spansPer int) []trace.SpanID {
+// components). The corpus ships as one wire batch and is queryable on
+// return.
+func PopulateQueryStore(srv *server.Server, traces, spansPer int) ([]trace.SpanID, error) {
 	rng := rand.New(rand.NewSource(7))
 	starts := make([]trace.SpanID, 0, traces)
+	b := transport.Batch{Host: "fig15", Seq: 1, Spans: make([]*trace.Span, 0, traces*spansPer)}
 	// Spread the corpus over four hours so a 15-minute window selects a
 	// fraction of the data, as in a production store.
 	spacing := 4 * time.Hour / time.Duration(traces)
@@ -66,7 +69,7 @@ func populateQueryStore(srv *server.Server, traces, spansPer int) []trace.SpanID
 			if sp.TapSide == trace.TapServerProcess {
 				sp.SysTraceID = trace.SysTraceID(id)
 			}
-			srv.IngestSpan(sp)
+			b.Spans = append(b.Spans, sp)
 			if s == 0 {
 				startID = sp.ID
 			}
@@ -74,13 +77,11 @@ func populateQueryStore(srv *server.Server, traces, spansPer int) []trace.SpanID
 		}
 		starts = append(starts, startID)
 	}
-	return starts
-}
-
-// PopulateQueryStore exposes the synthetic corpus builder to the
-// benchmark harness.
-func PopulateQueryStore(srv *server.Server, traces, spansPer int) []trace.SpanID {
-	return populateQueryStore(srv, traces, spansPer)
+	if err := srv.IngestBatch(transport.Encode(&b)); err != nil {
+		return nil, err
+	}
+	srv.Drain()
+	return starts, nil
 }
 
 // QueryEpoch returns the corpus origin timestamp.
@@ -91,8 +92,12 @@ func QueryEpoch() time.Time { return sim.Epoch }
 // experiment. User queries are serial, as in the paper.
 func MeasureQueryDelay(traces, spansPer, queries int) ([]Fig15Row, error) {
 	reg := server.NewResourceRegistry(nil, nil)
-	srv := server.New(reg, server.EncodingSmart)
-	starts := populateQueryStore(srv, traces, spansPer)
+	srv := server.NewSharded(reg, server.EncodingSmart, 0, 1)
+	defer srv.Close()
+	starts, err := PopulateQueryStore(srv, traces, spansPer)
+	if err != nil {
+		return nil, err
+	}
 	if queries > len(starts) {
 		queries = len(starts)
 	}

@@ -9,7 +9,18 @@ import (
 	"deepflow/internal/sim"
 	"deepflow/internal/simnet"
 	"deepflow/internal/trace"
+	"deepflow/internal/transport"
 )
+
+// ingestSpans ships spans to srv as one wire batch and waits until they are
+// queryable.
+func ingestSpans(t *testing.T, srv *server.Server, spans ...*trace.Span) {
+	t.Helper()
+	if err := srv.IngestBatch(transport.Encode(&transport.Batch{Host: "test", Seq: 1, Spans: spans})); err != nil {
+		t.Fatal(err)
+	}
+	srv.Drain()
+}
 
 func TestInjectPodErrorComposes(t *testing.T) {
 	env := microsim.NewEnv(1)
@@ -48,7 +59,7 @@ func TestInjectInfraKnobs(t *testing.T) {
 
 func TestLocalizeErrorSourceEmpty(t *testing.T) {
 	reg := server.NewResourceRegistry(nil, nil)
-	srv := server.New(reg, server.EncodingSmart)
+	srv := server.NewSharded(reg, server.EncodingSmart, 0, 1)
 	v := LocalizeErrorSource(srv, sim.Epoch, sim.Epoch.Add(time.Hour))
 	if v.Errors != 0 || v.Pod != "" {
 		t.Fatalf("empty store verdict = %+v", v)
@@ -57,12 +68,13 @@ func TestLocalizeErrorSourceEmpty(t *testing.T) {
 
 func TestLocalizeErrorSourcePicksWorst(t *testing.T) {
 	reg := server.NewResourceRegistry(nil, nil)
-	srv := server.New(reg, server.EncodingSmart)
+	srv := server.NewSharded(reg, server.EncodingSmart, 0, 1)
 	var id uint64
+	var spans []*trace.Span
 	add := func(host string, status string, n int) {
 		for i := 0; i < n; i++ {
 			id++
-			srv.IngestSpan(&trace.Span{
+			spans = append(spans, &trace.Span{
 				ID: trace.SpanID(id), TapSide: trace.TapServerProcess,
 				HostName: host, ResponseStatus: status,
 				StartTime: sim.Epoch, EndTime: sim.Epoch.Add(time.Millisecond),
@@ -73,6 +85,7 @@ func TestLocalizeErrorSourcePicksWorst(t *testing.T) {
 	add("pod-b", "error", 7)
 	add("pod-b", "ok", 10)
 	add("pod-c", "ok", 50)
+	ingestSpans(t, srv, spans...)
 	v := LocalizeErrorSource(srv, sim.Epoch, sim.Epoch.Add(time.Hour))
 	if v.Pod != "pod-b" || v.Errors != 7 {
 		t.Fatalf("verdict = %+v", v)

@@ -41,7 +41,7 @@ func TestLocalizeSlowHopRanksGaps(t *testing.T) {
 
 func TestLocalizeTopTalker(t *testing.T) {
 	reg := server.NewResourceRegistry(nil, nil)
-	srv := server.New(reg, server.EncodingSmart)
+	srv := server.NewSharded(reg, server.EncodingSmart, 0, 1)
 	ts := sim.Epoch.Add(time.Second)
 	srv.Metrics.Add("net.bytes_sent", map[string]string{"flow": "f-big", "host": "h"}, ts, 5e6)
 	srv.Metrics.Add("net.bytes_received", map[string]string{"flow": "f-big", "host": "h"}, ts, 5e6)
@@ -54,23 +54,24 @@ func TestLocalizeTopTalker(t *testing.T) {
 
 func TestLocalizeUnreachableExcludesServed(t *testing.T) {
 	reg := server.NewResourceRegistry(nil, nil)
-	srv := server.New(reg, server.EncodingSmart)
+	srv := server.NewSharded(reg, server.EncodingSmart, 0, 1)
 	flow := trace.FiveTuple{SrcIP: 1, DstIP: 2, SrcPort: 1000, DstPort: 80, Proto: trace.L4TCP}
-	// A client error whose message WAS served (server answered 500).
-	srv.IngestSpan(&trace.Span{
-		ID: 1, TapSide: trace.TapClientProcess, Flow: flow, ReqTCPSeq: 5,
-		ResponseStatus: "error", StartTime: sim.Epoch, EndTime: sim.Epoch.Add(time.Millisecond),
-	})
-	srv.IngestSpan(&trace.Span{
-		ID: 2, TapSide: trace.TapServerProcess, Flow: flow, ReqTCPSeq: 5,
-		ResponseStatus: "error", StartTime: sim.Epoch, EndTime: sim.Epoch.Add(time.Millisecond),
-	})
-	// A client timeout that nothing served.
 	dead := trace.FiveTuple{SrcIP: 1, DstIP: 9, SrcPort: 1001, DstPort: 80, Proto: trace.L4TCP}
-	srv.IngestSpan(&trace.Span{
-		ID: 3, TapSide: trace.TapClientProcess, Flow: dead, ReqTCPSeq: 7,
-		ResponseStatus: "timeout", StartTime: sim.Epoch, EndTime: sim.Epoch.Add(time.Millisecond),
-	})
+	ingestSpans(t, srv,
+		// A client error whose message WAS served (server answered 500).
+		&trace.Span{
+			ID: 1, TapSide: trace.TapClientProcess, Flow: flow, ReqTCPSeq: 5,
+			ResponseStatus: "error", StartTime: sim.Epoch, EndTime: sim.Epoch.Add(time.Millisecond),
+		},
+		&trace.Span{
+			ID: 2, TapSide: trace.TapServerProcess, Flow: flow, ReqTCPSeq: 5,
+			ResponseStatus: "error", StartTime: sim.Epoch, EndTime: sim.Epoch.Add(time.Millisecond),
+		},
+		// A client timeout that nothing served.
+		&trace.Span{
+			ID: 3, TapSide: trace.TapClientProcess, Flow: dead, ReqTCPSeq: 7,
+			ResponseStatus: "timeout", StartTime: sim.Epoch, EndTime: sim.Epoch.Add(time.Millisecond),
+		})
 	got := LocalizeUnreachable(srv, sim.Epoch, sim.Epoch.Add(time.Minute))
 	if got.Failures != 1 {
 		t.Fatalf("verdict = %+v (served message counted?)", got)
@@ -83,7 +84,7 @@ func TestLocalizeUnreachableExcludesServed(t *testing.T) {
 // suspect.
 func TestLocalizationInconclusiveOnEmptyWindow(t *testing.T) {
 	reg := server.NewResourceRegistry(nil, nil)
-	srv := server.New(reg, server.EncodingSmart)
+	srv := server.NewSharded(reg, server.EncodingSmart, 0, 1)
 	from, to := sim.Epoch, sim.Epoch.Add(time.Minute)
 
 	if got := LocalizeErrorSource(srv, from, to); got != (ErrorPodResult{}) || got.Conclusive() {
@@ -100,13 +101,12 @@ func TestLocalizationInconclusiveOnEmptyWindow(t *testing.T) {
 	}
 
 	// Healthy spans only (no errors): still inconclusive.
-	srv.IngestSpan(&trace.Span{
+	ingestSpans(t, srv, &trace.Span{
 		ID: 1, TapSide: trace.TapServerProcess, L7: trace.L7HTTP,
 		Flow:      trace.FiveTuple{SrcIP: 1, DstIP: 2, SrcPort: 999, DstPort: 80, Proto: trace.L4TCP},
 		StartTime: sim.Epoch.Add(time.Second), EndTime: sim.Epoch.Add(time.Second + 5*time.Millisecond),
 		ProcessName: "web", ResponseStatus: "ok", ResponseCode: 200,
 	})
-	srv.Drain()
 	if got := LocalizeErrorSource(srv, from, to); got.Conclusive() {
 		t.Fatalf("healthy window produced error suspect: %+v", got)
 	}

@@ -7,6 +7,7 @@ package k8s
 
 import (
 	"fmt"
+	"sort"
 
 	"deepflow/internal/simnet"
 	"deepflow/internal/trace"
@@ -92,12 +93,14 @@ func (c *Cluster) Pod(name string) *Pod { return c.pods[name] }
 // PodByIP returns pod metadata by IP, or nil.
 func (c *Cluster) PodByIP(ip trace.IP) *Pod { return c.byIP[ip] }
 
-// Pods returns all pods.
+// Pods returns all pods sorted by name, so registry dictionary IDs built
+// from it are the same on every run.
 func (c *Cluster) Pods() []*Pod {
 	out := make([]*Pod, 0, len(c.pods))
 	for _, p := range c.pods {
 		out = append(out, p)
 	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out
 }
 

@@ -103,11 +103,11 @@ func (p *Partial) observeExemplar(fb int64, k Key, ek EdgeKey, sp *trace.Span) {
 }
 
 // CollectExemplars merges the partials' per-group exemplar reservoirs over
-// [from, to). Exemplars live only in the fine tier (like the host-signal
+// [from, to), widened to the containing fine buckets. Exemplars live only in the fine tier (like the host-signal
 // map): the evicted range has no exemplars, by design — the raw spans they
 // point at age out with the fine buckets.
 func CollectExemplars(parts []*Partial, from, to time.Time) map[Key]*Reservoir {
-	lo, hi := from.UnixNano(), to.UnixNano()
+	lo, hi := bucketStart(from, FineBucket), to.UnixNano()
 	out := make(map[Key]*Reservoir)
 	for _, p := range parts {
 		p.mu.Lock()
@@ -130,9 +130,9 @@ func CollectExemplars(parts []*Partial, from, to time.Time) map[Key]*Reservoir {
 }
 
 // CollectEdgeExemplars merges the partials' per-edge exemplar reservoirs
-// over [from, to) (fine tier only, like CollectExemplars).
+// over [from, to), widened like CollectExemplars (fine tier only).
 func CollectEdgeExemplars(parts []*Partial, from, to time.Time) map[EdgeKey]*Reservoir {
-	lo, hi := from.UnixNano(), to.UnixNano()
+	lo, hi := bucketStart(from, FineBucket), to.UnixNano()
 	out := make(map[EdgeKey]*Reservoir)
 	for _, p := range parts {
 		p.mu.Lock()

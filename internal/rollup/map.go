@@ -205,12 +205,12 @@ func (a *HostAgg) observe(f transport.FlowSample) {
 }
 
 // CollectHostNet merges the partials' per-host packet-plane signals over
-// [from, to). The host-net map lives at fine (1 s) resolution only and is
+// [from, to), widened to the containing fine buckets. The host-net map lives at fine (1 s) resolution only and is
 // evicted with the fine watermark; queries over an evicted range see
 // nothing (the signal exists for recent-window anomaly detection, not
 // retained history).
 func CollectHostNet(parts []*Partial, from, to time.Time) map[string]*HostAgg {
-	lo, hi := from.UnixNano(), to.UnixNano()
+	lo, hi := bucketStart(from, FineBucket), to.UnixNano()
 	out := make(map[string]*HostAgg)
 	for _, p := range parts {
 		p.mu.Lock()

@@ -475,7 +475,7 @@ func (p *Partial) Snapshot() Stats {
 // width (callers wanting byte-exact raw-scan parity pass aligned windows);
 // otherwise the window widens to the containing buckets.
 func CollectGroups(parts []*Partial, from, to time.Time) map[Key]*Agg {
-	lo, hi := from.UnixNano(), to.UnixNano()
+	lo, hi := bucketStart(from, FineBucket), to.UnixNano()
 	// The merged watermark is the max across partials; eviction is driven
 	// globally so they agree, but max is the safe join.
 	var floor int64

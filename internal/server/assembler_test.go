@@ -17,9 +17,10 @@ func TestAssemblerInvariants(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	for round := 0; round < 20; round++ {
 		reg := NewResourceRegistry(nil, nil)
-		srv := New(reg, EncodingSmart)
+		srv := NewSharded(reg, EncodingSmart, 0, 1)
 		n := 20 + rng.Intn(60)
 		idsUsed := make([]trace.SpanID, 0, n)
+		spans := make([]*trace.Span, 0, n)
 		for i := 0; i < n; i++ {
 			start := sim.Epoch.Add(time.Duration(rng.Intn(1000)) * time.Millisecond)
 			sp := &trace.Span{
@@ -40,9 +41,10 @@ func TestAssemblerInvariants(t *testing.T) {
 					SrcPort: uint16(rng.Intn(2) + 1000), DstPort: 80, Proto: trace.L4TCP,
 				},
 			}
-			srv.IngestSpan(sp)
+			spans = append(spans, sp)
 			idsUsed = append(idsUsed, sp.ID)
 		}
+		ingestSpans(t, srv, spans...)
 
 		start := idsUsed[rng.Intn(len(idsUsed))]
 		tr := srv.Trace(start)
@@ -97,10 +99,11 @@ func TestAssemblerInvariants(t *testing.T) {
 
 func TestAssembleSortedByTime(t *testing.T) {
 	reg := NewResourceRegistry(nil, nil)
-	srv := New(reg, EncodingSmart)
+	srv := NewSharded(reg, EncodingSmart, 0, 1)
+	var spans []*trace.Span
 	for i := 0; i < 10; i++ {
 		start := sim.Epoch.Add(time.Duration(10-i) * time.Millisecond)
-		srv.IngestSpan(&trace.Span{
+		spans = append(spans, &trace.Span{
 			ID:         trace.SpanID(i + 1),
 			SysTraceID: 42,
 			StartTime:  start,
@@ -108,6 +111,7 @@ func TestAssembleSortedByTime(t *testing.T) {
 			TapSide:    trace.TapServerProcess,
 		})
 	}
+	ingestSpans(t, srv, spans...)
 	tr := srv.Trace(1)
 	if tr.Len() != 10 {
 		t.Fatalf("len = %d", tr.Len())

@@ -226,16 +226,6 @@ func (s *ProfileStore) WriteFolded(w io.Writer, from, to time.Time, f ProfileFil
 	return err
 }
 
-// IngestProfile implements the profile leg of agent.Sink: like IngestSpan,
-// the agent's phase-1 tags (VPC, IP) are enriched to integer resource tags
-// here, so profile rows decode through the same dictionaries as spans.
-// Like IngestSpan, the per-item path writes partition 0.
-func (s *Server) IngestProfile(ps profiling.Sample) {
-	ps.Resource = s.Registry.Enrich(ps.Resource)
-	s.Profiles.Insert(ps)
-	s.mProfiles.Inc()
-}
-
 // ProfileSamples answers a profile query merged across the store
 // partitions, in a canonical order (hit window, then identity fields) so
 // the result is identical for any shard count over the same corpus.

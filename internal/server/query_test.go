@@ -11,13 +11,14 @@ import (
 func populateQueryServer(t *testing.T) *Server {
 	t.Helper()
 	reg, cluster, _ := testRegistry(t)
-	srv := New(reg, EncodingSmart)
+	srv := NewSharded(reg, EncodingSmart, 0, 1)
 	front := cluster.Pod("frontend-0")
 	back := cluster.Pod("backend-0")
 
+	var spans []*trace.Span
 	mk := func(i int, proc string, pod trace.IP, side trace.TapSide, dur time.Duration, status string, code int32) {
 		start := sim.Epoch.Add(time.Duration(i) * time.Millisecond)
-		srv.IngestSpan(&trace.Span{
+		spans = append(spans, &trace.Span{
 			ID:             ids.NextSpanID(),
 			Source:         trace.SourceEBPF,
 			TapSide:        side,
@@ -39,6 +40,7 @@ func populateQueryServer(t *testing.T) *Server {
 		mk(i, "backend", back.IP, trace.TapServerProcess, 3*time.Millisecond, "ok", 200)
 	}
 	mk(15, "wrk", 0, trace.TapClientProcess, 4*time.Millisecond, "ok", 200)
+	ingestSpans(t, srv, spans...)
 	return srv
 }
 

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"deepflow/internal/rollup"
 	"deepflow/internal/sim"
 	"deepflow/internal/trace"
 	"deepflow/internal/transport"
@@ -46,7 +47,9 @@ func TestRollupShardDeterminism(t *testing.T) {
 
 // TestServiceSummaryFastMatchesRawScan: the pre-aggregated path must equal
 // the O(spans) raw scan exactly — counts, integer mean division, max, and
-// name ordering — on aligned windows, at any shard count.
+// name ordering — at any shard count. A window misaligned to the fine
+// bucket width widens to the containing buckets, so it must equal the raw
+// scan over the widened window.
 func TestServiceSummaryFastMatchesRawScan(t *testing.T) {
 	reg, _, _ := testRegistry(t)
 	batches := shardCorpus(t, reg, 60)
@@ -59,14 +62,17 @@ func TestServiceSummaryFastMatchesRawScan(t *testing.T) {
 		if !reflect.DeepEqual(raw, fast) {
 			t.Fatalf("%d shards: fast summary != raw scan:\nraw:  %+v\nfast: %+v", shards, raw, fast)
 		}
-		// Sub-windows aligned to the fine bucket width must agree too.
 		for _, win := range []struct{ off, len time.Duration }{
 			{0, time.Second},
 			{time.Second, 3 * time.Second},
 			{0, time.Minute},
+			{150 * time.Millisecond, 1850 * time.Millisecond},
+			{1500 * time.Millisecond, 250 * time.Millisecond},
+			{999 * time.Millisecond, 3 * time.Second},
 		} {
 			f, tt := sim.Epoch.Add(win.off), sim.Epoch.Add(win.off+win.len)
-			raw, fast := s.SummarizeServices(f, tt), s.ServiceSummaryFast(f, tt)
+			wf, wt := f.Truncate(rollup.FineBucket), tt.Add(rollup.FineBucket-1).Truncate(rollup.FineBucket)
+			raw, fast := s.SummarizeServices(wf, wt), s.ServiceSummaryFast(f, tt)
 			if !reflect.DeepEqual(raw, fast) {
 				t.Fatalf("%d shards window +%v+%v: fast != raw:\nraw:  %+v\nfast: %+v",
 					shards, win.off, win.len, raw, fast)
@@ -124,16 +130,13 @@ func TestServiceMapEdgesAndDrillDown(t *testing.T) {
 	}
 	s := NewSharded(reg, EncodingSmart, 0, 2)
 	defer s.Close()
-	b := transport.Encode(&transport.Batch{Host: "a", Seq: 1, Spans: spans})
-	if err := s.IngestBatch(b); err != nil {
-		t.Fatal(err)
-	}
-	s.IngestFlow(transport.FlowSample{
-		TS: at(20), Host: "node-1", NIC: "eth0", Tuple: tuple.Canonical(),
-		Delta:         trace.NetMetrics{Resets: 3},
-		KernelPackets: 42, KernelBytes: 4200,
-	})
-	s.Drain()
+	ingestAll(t, s, [][]byte{transport.Encode(&transport.Batch{Host: "a", Seq: 1, Spans: spans,
+		Flows: []transport.FlowSample{{
+			TS: at(20), Host: "node-1", NIC: "eth0", Tuple: tuple.Canonical(),
+			Delta:         trace.NetMetrics{Resets: 3},
+			KernelPackets: 42, KernelBytes: 4200,
+		}},
+	})})
 
 	m := s.ServiceMap(sim.Epoch, sim.Epoch.Add(time.Hour))
 	if len(m.Edges) != 1 {

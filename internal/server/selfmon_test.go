@@ -30,11 +30,9 @@ next:
 
 func TestServerSelfMonitoring(t *testing.T) {
 	reg, _, _ := testRegistry(t)
-	srv := New(reg, EncodingSmart)
+	srv := NewSharded(reg, EncodingSmart, 0, 1)
 	spans := buildPathSpans(reg)
-	for _, sp := range spans {
-		srv.IngestSpan(sp)
-	}
+	ingestSpans(t, srv, spans...)
 	tr := srv.Trace(spans[0].ID)
 	if tr == nil || tr.Len() != 6 {
 		t.Fatalf("trace = %v", tr)

@@ -25,11 +25,12 @@ import (
 // decode and enrich them in parallel, each into its own store partition
 // (the ClickHouse-style parallel-ingest architecture behind the paper's
 // 2·10⁵ rows/s/node figure). Queries merge across partitions, so callers
-// never see the sharding. The per-item IngestSpan/IngestFlow/IngestProfile
-// methods remain as the synchronous single-partition path (agent.Sink).
+// never see the sharding. IngestBatch is the only ingest entry point, so
+// every row is WAL-logged (when a durable tier is attached) before it
+// becomes queryable.
 type Server struct {
 	Registry *ResourceRegistry
-	Store    *SpanStore    // partition 0: target of the per-item ingest path
+	Store    *SpanStore    // partition 0 (the only one on a 1-shard server)
 	Profiles *ProfileStore // partition 0
 	Metrics  *metrics.Store
 
@@ -67,21 +68,12 @@ type Server struct {
 	mWatermarkAge *selfmon.Gauge
 }
 
-// New creates a single-shard server with the given tag encoding.
-func New(reg *ResourceRegistry, enc Encoding) *Server {
-	return NewSharded(reg, enc, 0, 1)
-}
-
-// NewWide creates a server whose store materializes `wide` extra derived
-// tag columns under non-smart encodings (see NewSpanStoreWide).
-func NewWide(reg *ResourceRegistry, enc Encoding, wide int) *Server {
-	return NewSharded(reg, enc, wide, 1)
-}
-
 // NewSharded creates a server with `shards` parallel ingest workers, each
-// owning its own span and profile store partition. Workers start lazily on
-// the first IngestBatch, so a server used only through the per-item path
-// never spawns goroutines.
+// owning its own span and profile store partition whose table materializes
+// `wide` extra derived tag columns under non-smart encodings (see
+// NewSpanStoreWide). Workers start lazily on the first IngestBatch, so a
+// server that is only replayed (AttachDurable) or queried never spawns
+// goroutines.
 func NewSharded(reg *ResourceRegistry, enc Encoding, wide, shards int) *Server {
 	if shards <= 0 {
 		shards = 1
@@ -168,7 +160,7 @@ func NewSharded(reg *ResourceRegistry, enc Encoding, wide, shards int) *Server {
 // Shards returns the number of ingest shards.
 func (s *Server) Shards() int { return len(s.stores) }
 
-// SpansIngested returns the number of spans ingested (batch + per-item).
+// SpansIngested returns the number of spans ingested, live or replayed.
 func (s *Server) SpansIngested() int { return int(s.mSpans.Value()) }
 
 // FlowsIngested returns the number of flow samples ingested.
@@ -344,25 +336,8 @@ func (s *Server) FreshnessLag(now time.Time) []time.Duration {
 	return out
 }
 
-// IngestSpan implements agent.Sink: smart-encoding phase 2 (resolve VPC+IP
-// to integer resource tags) happens here, then the span is stored in
-// partition 0.
-func (s *Server) IngestSpan(sp *trace.Span) {
-	sp.Resource = s.Registry.Enrich(sp.Resource)
-	s.Store.Insert(sp)
-	s.rollups[0].ObserveSpan(sp)
-	s.mSpans.Inc()
-	s.advanceFreshness(0, sp.StartTime.UnixNano())
-}
-
-// IngestFlow implements agent.Sink: flow metric deltas become series in the
-// metrics plane, tagged so they correlate with traces (§3.4).
-func (s *Server) IngestFlow(f transport.FlowSample) {
-	s.ingestFlow(f)
-	s.rollups[0].ObserveFlow(f)
-	s.advanceFreshness(0, f.TS.UnixNano())
-}
-
+// ingestFlow turns flow metric deltas into series in the metrics plane,
+// tagged so they correlate with traces (§3.4).
 func (s *Server) ingestFlow(f transport.FlowSample) {
 	tags := map[string]string{
 		"host": f.Host,

@@ -5,12 +5,12 @@ import (
 	"testing"
 	"time"
 
-	"deepflow/internal/agent"
 	"deepflow/internal/cloud"
 	"deepflow/internal/k8s"
 	"deepflow/internal/sim"
 	"deepflow/internal/simnet"
 	"deepflow/internal/trace"
+	"deepflow/internal/transport"
 )
 
 var ids trace.IDAllocator
@@ -52,6 +52,13 @@ func TestEnrichAndDecode(t *testing.T) {
 	if unknown.PodID != 0 || unknown.VPCID != 3 {
 		t.Fatalf("unknown enrich = %+v", unknown)
 	}
+}
+
+// ingestSpans ships spans to s as one wire batch and waits until they are
+// queryable.
+func ingestSpans(t *testing.T, s *Server, spans ...*trace.Span) {
+	t.Helper()
+	ingestAll(t, s, [][]byte{transport.Encode(&transport.Batch{Host: "test", Seq: 1, Spans: spans})})
 }
 
 // mkSpan builds a test span.
@@ -118,11 +125,9 @@ func buildPathSpans(reg *ResourceRegistry) []*trace.Span {
 
 func TestAssembleFullPath(t *testing.T) {
 	reg, _, _ := testRegistry(t)
-	srv := New(reg, EncodingSmart)
+	srv := NewSharded(reg, EncodingSmart, 0, 1)
 	spans := buildPathSpans(reg)
-	for _, sp := range spans {
-		srv.IngestSpan(sp)
-	}
+	ingestSpans(t, srv, spans...)
 	tr := srv.Trace(spans[0].ID) // start from client A span
 	if tr == nil || tr.Len() != 6 {
 		t.Fatalf("trace len = %v", tr)
@@ -166,7 +171,7 @@ func TestAssembleFullPath(t *testing.T) {
 
 func TestAssembleUnknownSpan(t *testing.T) {
 	reg, _, _ := testRegistry(t)
-	srv := New(reg, EncodingSmart)
+	srv := NewSharded(reg, EncodingSmart, 0, 1)
 	if tr := srv.Trace(9999999); tr != nil {
 		t.Fatal("unknown span produced a trace")
 	}
@@ -174,11 +179,12 @@ func TestAssembleUnknownSpan(t *testing.T) {
 
 func TestAssembleIterationBound(t *testing.T) {
 	reg, _, _ := testRegistry(t)
-	srv := New(reg, EncodingSmart)
+	srv := NewSharded(reg, EncodingSmart, 0, 1)
 	// Chain of 40 spans linked pairwise by shared systrace ids:
 	// span i has systrace i and x-request-id linking to i+1.
 	var prev *trace.Span
 	var first trace.SpanID
+	var spans []*trace.Span
 	for i := 0; i < 40; i++ {
 		i := i
 		sp := mkSpan(func(sp *trace.Span) {
@@ -194,13 +200,14 @@ func TestAssembleIterationBound(t *testing.T) {
 				l.XRequestID = "xr-" + string(rune('A'+i))
 			})
 			sp.XRequestID = link.XRequestID
-			srv.IngestSpan(link)
+			spans = append(spans, link)
 		} else {
 			first = sp.ID
 		}
-		srv.IngestSpan(sp)
+		spans = append(spans, sp)
 		prev = sp
 	}
+	ingestSpans(t, srv, spans...)
 	// With 2 iterations, only a prefix of the chain is found; the default
 	// 30 iterations reach further; 100 iterations find the whole chain
 	// (each iteration expands one association hop).
@@ -217,14 +224,16 @@ func TestAssembleIterationBound(t *testing.T) {
 
 func TestSpanListWindowAndLimit(t *testing.T) {
 	reg, _, _ := testRegistry(t)
-	srv := New(reg, EncodingSmart)
+	srv := NewSharded(reg, EncodingSmart, 0, 1)
+	var spans []*trace.Span
 	for i := 0; i < 100; i++ {
 		i := i
-		srv.IngestSpan(mkSpan(func(sp *trace.Span) {
+		spans = append(spans, mkSpan(func(sp *trace.Span) {
 			sp.StartTime = sim.Epoch.Add(time.Duration(i) * time.Second)
 			sp.EndTime = sp.StartTime.Add(time.Millisecond)
 		}))
 	}
+	ingestSpans(t, srv, spans...)
 	got := srv.SpanList(sim.Epoch.Add(10*time.Second), sim.Epoch.Add(20*time.Second), 0)
 	if len(got) != 10 {
 		t.Fatalf("window spans = %d, want 10", len(got))
@@ -241,7 +250,7 @@ func TestSpanListWindowAndLimit(t *testing.T) {
 
 func TestOTelIntegrationRules(t *testing.T) {
 	reg, _, _ := testRegistry(t)
-	srv := New(reg, EncodingSmart)
+	srv := NewSharded(reg, EncodingSmart, 0, 1)
 	at := func(ms int) time.Time { return sim.Epoch.Add(time.Duration(ms) * time.Millisecond) }
 
 	sEBPF := mkSpan(func(sp *trace.Span) {
@@ -272,9 +281,7 @@ func TestOTelIntegrationRules(t *testing.T) {
 		sp.SysTraceID = 500
 		sp.StartTime, sp.EndTime = at(30), at(70)
 	})
-	for _, sp := range []*trace.Span{sEBPF, app, child, ebpfClient} {
-		srv.IngestSpan(sp)
-	}
+	ingestSpans(t, srv, sEBPF, app, child, ebpfClient)
 	tr := srv.Trace(sEBPF.ID)
 	if tr.Len() != 4 {
 		t.Fatalf("trace len = %d", tr.Len())
@@ -298,13 +305,15 @@ func TestEncodingResourceOrdering(t *testing.T) {
 	reg, cluster, _ := testRegistry(t)
 	pod := cluster.Pod("frontend-0")
 	build := func(enc Encoding) *Server {
-		srv := New(reg, enc)
+		srv := NewSharded(reg, enc, 0, 1)
+		var spans []*trace.Span
 		for i := 0; i < 5000; i++ {
-			srv.IngestSpan(mkSpan(func(sp *trace.Span) {
+			spans = append(spans, mkSpan(func(sp *trace.Span) {
 				sp.Resource.IP = pod.IP
 				sp.XRequestID = "xr"
 			}))
 		}
+		ingestSpans(t, srv, spans...)
 		return srv
 	}
 	smart := build(EncodingSmart)
@@ -316,17 +325,19 @@ func TestEncodingResourceOrdering(t *testing.T) {
 	}
 }
 
-func TestIngestFlowAndCorrelation(t *testing.T) {
+func TestFlowSampleCorrelation(t *testing.T) {
 	reg, _, _ := testRegistry(t)
-	srv := New(reg, EncodingSmart)
+	srv := NewSharded(reg, EncodingSmart, 0, 1)
 	ts := sim.Epoch.Add(time.Second)
-	srv.IngestFlow(agent.FlowSample{
-		TS: ts, Host: "node-1", NIC: "node/node-1",
-		Tuple: flowAB.Canonical(),
-		Delta: trace.NetMetrics{Resets: 3, Retransmissions: 2, RTT: time.Millisecond},
-	})
 	sp := mkSpan(func(sp *trace.Span) { sp.Flow = flowAB })
-	srv.IngestSpan(sp)
+	ingestAll(t, srv, [][]byte{transport.Encode(&transport.Batch{
+		Flows: []transport.FlowSample{{
+			TS: ts, Host: "node-1", NIC: "node/node-1",
+			Tuple: flowAB.Canonical(),
+			Delta: trace.NetMetrics{Resets: 3, Retransmissions: 2, RTT: time.Millisecond},
+		}},
+		Spans: []*trace.Span{sp},
+	})})
 
 	series := srv.RelatedMetrics(sp, "net.resets", sim.Epoch, sim.Epoch.Add(time.Minute))
 	if len(series) != 1 || series[0].Points[0].Value != 3 {
@@ -342,12 +353,12 @@ func TestIngestFlowAndCorrelation(t *testing.T) {
 
 func TestFormatTrace(t *testing.T) {
 	reg, _, _ := testRegistry(t)
-	srv := New(reg, EncodingSmart)
+	srv := NewSharded(reg, EncodingSmart, 0, 1)
 	spans := buildPathSpans(reg)
 	for _, sp := range spans {
 		sp.RequestType, sp.RequestResource, sp.ResponseCode, sp.ResponseStatus = "GET", "/x", 200, "ok"
-		srv.IngestSpan(sp)
 	}
+	ingestSpans(t, srv, spans...)
 	out := srv.FormatTrace(srv.Trace(spans[0].ID))
 	if !strings.Contains(out, "[c]") || !strings.Contains(out, "[s]") || !strings.Contains(out, "GET /x") {
 		t.Fatalf("format output:\n%s", out)

@@ -2,6 +2,7 @@ package simnet
 
 import (
 	"fmt"
+	"sort"
 	"time"
 
 	"deepflow/internal/sim"
@@ -136,12 +137,14 @@ func (n *Network) AddHost(name string, kind HostKind, parent *Host) *Host {
 // Host returns a host by name, or nil.
 func (n *Network) Host(name string) *Host { return n.hosts[name] }
 
-// Hosts returns all hosts.
+// Hosts returns all hosts sorted by name, so deployments built from it
+// register and start in the same order on every run.
 func (n *Network) Hosts() []*Host {
 	out := make([]*Host, 0, len(n.hosts))
 	for _, h := range n.hosts {
 		out = append(out, h)
 	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out
 }
 

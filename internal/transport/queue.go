@@ -16,11 +16,9 @@ type Queue struct {
 	done chan struct{}
 	once sync.Once
 
-	enqueued atomic.Uint64
-	dequeued atomic.Uint64
-	dropped  atomic.Uint64
-	waits    atomic.Uint64
-	waitNS   atomic.Int64
+	dropped atomic.Uint64
+	waits   atomic.Uint64
+	waitNS  atomic.Int64
 }
 
 // NewQueue creates a queue holding up to capacity encoded batches.
@@ -43,7 +41,6 @@ func (q *Queue) Push(enc []byte) bool {
 	}
 	select {
 	case q.ch <- enc:
-		q.enqueued.Add(1)
 		return true
 	default:
 	}
@@ -52,28 +49,8 @@ func (q *Queue) Push(enc []byte) bool {
 	case q.ch <- enc:
 		q.waits.Add(1)
 		q.waitNS.Add(time.Since(t0).Nanoseconds())
-		q.enqueued.Add(1)
 		return true
 	case <-q.done:
-		q.dropped.Add(1)
-		return false
-	}
-}
-
-// TryPush enqueues without blocking; a full or closed queue counts a drop
-// and returns false. For callers that must not stall (lossy shippers).
-func (q *Queue) TryPush(enc []byte) bool {
-	select {
-	case <-q.done:
-		q.dropped.Add(1)
-		return false
-	default:
-	}
-	select {
-	case q.ch <- enc:
-		q.enqueued.Add(1)
-		return true
-	default:
 		q.dropped.Add(1)
 		return false
 	}
@@ -84,19 +61,16 @@ func (q *Queue) TryPush(enc []byte) bool {
 func (q *Queue) Pop() ([]byte, bool) {
 	select {
 	case enc := <-q.ch:
-		q.dequeued.Add(1)
 		return enc, true
 	default:
 	}
 	select {
 	case enc := <-q.ch:
-		q.dequeued.Add(1)
 		return enc, true
 	case <-q.done:
 		// Drain whatever raced in before the close.
 		select {
 		case enc := <-q.ch:
-			q.dequeued.Add(1)
 			return enc, true
 		default:
 			return nil, false
@@ -110,15 +84,6 @@ func (q *Queue) Close() { q.once.Do(func() { close(q.done) }) }
 
 // Len returns the current backlog depth.
 func (q *Queue) Len() int { return len(q.ch) }
-
-// Cap returns the queue capacity.
-func (q *Queue) Cap() int { return cap(q.ch) }
-
-// Enqueued returns the number of accepted batches.
-func (q *Queue) Enqueued() uint64 { return q.enqueued.Load() }
-
-// Dequeued returns the number of delivered batches.
-func (q *Queue) Dequeued() uint64 { return q.dequeued.Load() }
 
 // Dropped returns the number of discarded batches.
 func (q *Queue) Dropped() uint64 { return q.dropped.Load() }

@@ -20,6 +20,9 @@ fi
 echo ">> go vet ./..."
 go vet ./...
 
+echo ">> perfbench vet + test (nested module, so the root vet and test skip it)"
+(cd perfbench && go vet ./... && go test ./...)
+
 echo ">> dfvet (verify all shipped hook programs)"
 go run ./cmd/dfvet
 
