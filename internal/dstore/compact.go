@@ -170,7 +170,9 @@ func (s *Shard) compactOnce() (bool, error) {
 	s.recomputeDebtLocked()
 	s.mu.Unlock()
 
+	// The merged block and its directory entry synced before the swap, so
+	// the inputs go without another directory sync: inputs a crash brings
+	// back are subsumed by the merged block, and Open discards them.
 	s.releaseHandles(inputs)
-	syncDir(s.dir)
 	return true, nil
 }

@@ -296,14 +296,16 @@ func (s *Shard) sealLocked() error {
 	s.sealedBytes.Add(h.bytes)
 	s.nBlocks.Add(1)
 
-	// The block is durable; the WAL segments it covers are dead weight.
+	// The block and its directory entry are durable; only now are the WAL
+	// segments it covers dead weight. A failed remove is harmless: Open
+	// deletes segments a block covers. createWAL's directory sync makes
+	// the removes durable together with the new segment.
 	if err := s.wal.close(false); err != nil {
 		return fmt.Errorf("dstore: seal: close wal: %w", err)
 	}
 	for seq := walFirst; seq <= walLast; seq++ {
 		_ = os.Remove(filepath.Join(s.dir, walName(seq)))
 	}
-	syncDir(s.dir)
 	w, err := createWAL(s.dir, walLast+1)
 	if err != nil {
 		return err
@@ -320,8 +322,10 @@ func (s *Shard) sealLocked() error {
 }
 
 // writeBlockLocked persists a marshaled block image via tmp+rename and
-// returns its handle. Callers hold mu. minNS/maxNS come from the image so
-// handle metadata always matches what a reopen would decode.
+// returns its handle once the block's bytes and its directory entry are on
+// stable storage — the precondition for deleting anything it covers.
+// Callers hold mu. minNS/maxNS come from the image so handle metadata
+// always matches what a reopen would decode.
 func (s *Shard) writeBlockLocked(walFirst, walLast uint64, data []byte, nSpans, nFlows, nProfiles int) (*blockHandle, error) {
 	minNS, maxNS, err := peekBlockRange(data)
 	if err != nil {
@@ -329,18 +333,17 @@ func (s *Shard) writeBlockLocked(walFirst, walLast uint64, data []byte, nSpans, 
 	}
 	path := filepath.Join(s.dir, blockName(walFirst, walLast))
 	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
+	if err := writeFileSync(tmp, data); err != nil {
+		_ = os.Remove(tmp) // best effort: Open removes any *.tmp left behind
 		return nil, fmt.Errorf("dstore: write block: %w", err)
 	}
-	f, err := os.Open(tmp)
-	if err == nil {
-		_ = f.Sync()
-		f.Close()
-	}
 	if err := os.Rename(tmp, path); err != nil {
+		_ = os.Remove(tmp) // best effort, as above
 		return nil, fmt.Errorf("dstore: publish block: %w", err)
 	}
-	syncDir(s.dir)
+	if err := syncDir(s.dir); err != nil {
+		return nil, fmt.Errorf("dstore: publish block: %w", err)
+	}
 	return &blockHandle{
 		path: path, walFirst: walFirst, walLast: walLast,
 		bytes: int64(len(data)), spans: nSpans, flows: nFlows,
@@ -484,11 +487,10 @@ func (s *Shard) EvictBefore(cutoffNS int64) (blocks, spans int) {
 	s.evictedSpans.Add(int64(spans))
 	s.recomputeDebtLocked()
 	s.mu.Unlock()
+	// No directory sync: a removed block that a crash brings back is
+	// replayed and evicted again by the next retention pass.
 	for _, path := range remove {
 		_ = os.Remove(path)
-	}
-	if blocks > 0 {
-		syncDir(s.dir)
 	}
 	return blocks, spans
 }
@@ -512,10 +514,12 @@ func (s *Shard) Close() error {
 		return err
 	}
 	if s.wal.bytes == walHeaderSize {
-		_ = os.Remove(s.wal.path)
-		syncDir(s.dir)
+		if err := os.Remove(s.wal.path); err != nil {
+			return fmt.Errorf("dstore: close: remove empty wal: %w", err)
+		}
 		s.walBytes.Store(0)
 		s.walSegments.Store(0)
+		return syncDir(s.dir)
 	}
 	return nil
 }

@@ -14,10 +14,12 @@ package dstore
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"syscall"
 )
 
 const (
@@ -60,6 +62,12 @@ func createWAL(dir string, seq uint64) (*walWriter, error) {
 	if _, err := f.Write(hdr); err != nil {
 		f.Close()
 		return nil, fmt.Errorf("dstore: write wal header: %w", err)
+	}
+	// The segment's directory entry must be durable before a batch synced
+	// into it is acknowledged.
+	if err := syncDir(dir); err != nil {
+		f.Close()
+		return nil, fmt.Errorf("dstore: create wal segment: %w", err)
 	}
 	return &walWriter{f: f, path: path, seq: seq, bytes: walHeaderSize, dirty: walHeaderSize}, nil
 }
@@ -152,11 +160,37 @@ func readWALSegment(path string) (payloads [][]byte, torn int, err error) {
 	return payloads, 0, nil
 }
 
-// syncDir fsyncs a directory so renames and creates inside it are durable.
-// Best-effort on filesystems that reject directory fsync.
-func syncDir(dir string) {
-	if d, err := os.Open(dir); err == nil {
-		_ = d.Sync()
-		d.Close()
+// syncDir fsyncs a directory so renames, creates and removes inside it
+// are durable. A filesystem that cannot fsync a directory at all (EINVAL,
+// ENOTSUP) offers nothing stronger to ask for, so that error alone is
+// ignored; every other error is returned.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return fmt.Errorf("dstore: sync dir: %w", err)
 	}
+	defer d.Close()
+	if err := d.Sync(); err != nil && !errors.Is(err, syscall.EINVAL) && !errors.Is(err, syscall.ENOTSUP) {
+		return fmt.Errorf("dstore: sync dir: %w", err)
+	}
+	return nil
+}
+
+// writeFileSync creates path, writes data and fsyncs it before closing,
+// checking every step: a block must be on stable storage before a rename
+// publishes it and the WAL it covers is deleted.
+func writeFileSync(path string, data []byte) error {
+	f, err := os.OpenFile(path, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
+	if err != nil {
+		return err
+	}
+	if _, err := f.Write(data); err != nil {
+		f.Close()
+		return err
+	}
+	if err := f.Sync(); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }

@@ -3,7 +3,6 @@ package server
 import (
 	"fmt"
 	"io"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -64,6 +63,8 @@ type Server struct {
 	mBatches      *selfmon.Counter
 	mBatchBytes   *selfmon.Counter
 	mBatchErrors  *selfmon.Counter
+	mSearches     *selfmon.Counter
+	mSearchRows   *selfmon.Counter
 	mFreshLag     []*selfmon.Gauge
 	mWatermarkAge *selfmon.Gauge
 }
@@ -108,6 +109,10 @@ func NewSharded(reg *ResourceRegistry, enc Encoding, wide, shards int) *Server {
 	s.mBatches = s.Mon.Counter("deepflow_server_batches_ingested")
 	s.mBatchBytes = s.Mon.Counter("deepflow_server_batch_bytes")
 	s.mBatchErrors = s.Mon.Counter("deepflow_server_batch_errors")
+	// Span searches and the time-index rows they examined: rows per search
+	// is the server's own account of what a page costs.
+	s.mSearches = s.Mon.Counter("deepflow_server_search_queries")
+	s.mSearchRows = s.Mon.Counter("deepflow_server_search_rows_scanned")
 	s.Mon.GaugeFunc("deepflow_server_ingest_shards",
 		func() float64 { return float64(shards) })
 	s.Mon.GaugeFunc("deepflow_server_ingest_queue_depth",
@@ -361,30 +366,6 @@ func (s *Server) ingestFlow(f transport.FlowSample) {
 		s.Metrics.Add("net.rtt_us", tags, f.TS, float64(f.Delta.RTT.Microseconds()))
 	}
 	s.mFlows.Inc()
-}
-
-// SpanList answers the span-list query of Fig. 15, merged across the store
-// partitions. The merged order — StartTime descending, span ID descending
-// on ties — is a total order, so the result is identical for any shard
-// count over the same corpus.
-func (s *Server) SpanList(from, to time.Time, limit int) []*trace.Span {
-	var all []*trace.Span
-	for _, st := range s.stores {
-		// A span in the global top-`limit` is in its own partition's
-		// top-`limit`, so the per-partition cap is sufficient.
-		all = append(all, st.SpanList(from, to, limit)...)
-	}
-	sort.Slice(all, func(i, j int) bool {
-		a, b := all[i], all[j]
-		if !a.StartTime.Equal(b.StartTime) {
-			return a.StartTime.After(b.StartTime)
-		}
-		return a.ID > b.ID
-	})
-	if limit > 0 && len(all) > limit {
-		all = all[:limit]
-	}
-	return all
 }
 
 // SpanByID finds a span in any partition.

@@ -143,6 +143,32 @@ func TestShardMergeDeterminism(t *testing.T) {
 		}
 	}
 
+	// Filtered searches agree too: each partition applies the filter in its
+	// own walk, before its per-partition limit.
+	peerOf := l1[len(l1)/2].Flow.DstIP.String() // a client-side span's peer
+	filters := []SpanFilter{
+		{ProcessName: "svc-2"},
+		{TapSide: trace.TapServerProcess},
+		{MinDuration: 6 * time.Millisecond},
+		{TapSide: trace.TapClientProcess, ProcessName: "svc-0", Status: "ok"},
+		{Peer: peerOf},
+		{Service: "frontend"},
+		{Service: "no-such-service"},
+	}
+	for _, f := range filters {
+		for _, limit := range []int{0, 1, 5, 17} {
+			a, b := s1.QuerySpans(from, to, f, limit), s4.QuerySpans(from, to, f, limit)
+			if len(a) != len(b) {
+				t.Fatalf("search %+v limit %d: lengths %d vs %d", f, limit, len(a), len(b))
+			}
+			for i := range a {
+				if a[i].ID != b[i].ID {
+					t.Fatalf("search %+v limit %d diverges at %d: #%d vs #%d", f, limit, i, a[i].ID, b[i].ID)
+				}
+			}
+		}
+	}
+
 	// Every assembled trace renders byte-identically.
 	for _, sp := range l1 {
 		tr1, tr4 := s1.Trace(sp.ID), s4.Trace(sp.ID)

@@ -1,7 +1,9 @@
 package server
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -65,9 +67,12 @@ type SpanStore struct {
 	byTCPSeq   map[uint32][]int           // dflint:guardedby mu
 	byTraceID  map[string][]int           // dflint:guardedby mu
 
-	// timeIdx orders rows by start time for span-list queries.
-	timeIdx   []int // dflint:guardedby mu
-	timeDirty bool  // dflint:guardedby mu
+	// timeIdx lists every row in the total order span search walks:
+	// StartTime ascending, span ID ascending on ties. Rows
+	// timeIdx[:timeSorted] are in that order; rows inserted since form an
+	// unsorted tail that the next search settles (settleTimeIndex).
+	timeIdx    []int // dflint:guardedby mu
+	timeSorted int   // dflint:guardedby mu
 
 	wide      int
 	wideNames []string
@@ -236,7 +241,6 @@ func (s *SpanStore) Insert(sp *trace.Span) {
 	s.spans = append(s.spans, sp)
 	spanIndexes{s.byID, s.bySysTrace, s.byPseudo, s.byXReq, s.byTCPSeq, s.byTraceID}.index(sp, row)
 	s.timeIdx = append(s.timeIdx, row)
-	s.timeDirty = true
 	s.writeRow(sp)
 }
 
@@ -285,23 +289,26 @@ func (s *SpanStore) writeRow(sp *trace.Span) {
 }
 
 // EvictBefore drops every span whose StartTime is before cutoff,
-// rebuilding the inverted indexes, the time index, and the columnar table
-// from the survivors (in their original insertion order, so partition-
-// merge determinism is untouched). Returns the number of spans evicted.
-// This is the in-memory half of raw-span retention; the durable tier
-// evicts at block granularity separately.
+// rebuilding the inverted indexes and the columnar table from the
+// survivors (in their original insertion order, so partition-merge
+// determinism is untouched). The time index keeps its order: survivors are
+// renumbered in place, so eviction never forces a full re-sort. Returns the
+// number of spans evicted. This is the in-memory half of raw-span
+// retention; the durable tier evicts at block granularity separately.
 func (s *SpanStore) EvictBefore(cutoff time.Time) int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	evicted := 0
 	keep := make([]*trace.Span, 0, len(s.spans))
-	for _, sp := range s.spans {
+	renumber := make([]int, len(s.spans)) // old row → new row, -1 if evicted
+	for row, sp := range s.spans {
 		if sp.StartTime.Before(cutoff) {
-			evicted++
+			renumber[row] = -1
 			continue
 		}
+		renumber[row] = len(keep)
 		keep = append(keep, sp)
 	}
+	evicted := len(s.spans) - len(keep)
 	if evicted == 0 {
 		return 0
 	}
@@ -313,12 +320,22 @@ func (s *SpanStore) EvictBefore(cutoff time.Time) int {
 		byTCPSeq:   make(map[uint32][]int),
 		byTraceID:  make(map[string][]int),
 	}
-	timeIdx := make([]int, 0, len(keep))
 	s.table.Reset()
 	for row, sp := range keep {
 		ix.index(sp, row)
-		timeIdx = append(timeIdx, row)
 		s.writeRow(sp)
+	}
+	// A subsequence of an ordered run is ordered, so the surviving part of
+	// the settled prefix stays settled.
+	timeIdx := make([]int, 0, len(keep))
+	sorted := 0
+	for i, row := range s.timeIdx {
+		if nr := renumber[row]; nr >= 0 {
+			timeIdx = append(timeIdx, nr)
+			if i < s.timeSorted {
+				sorted++
+			}
+		}
 	}
 	s.spans = keep
 	s.byID = ix.byID
@@ -328,7 +345,7 @@ func (s *SpanStore) EvictBefore(cutoff time.Time) int {
 	s.byTCPSeq = ix.byTCPSeq
 	s.byTraceID = ix.byTraceID
 	s.timeIdx = timeIdx
-	s.timeDirty = true
+	s.timeSorted = sorted
 	return evicted
 }
 
@@ -359,33 +376,103 @@ func (s *SpanStore) DiskBytes() int64 { return s.table.DiskBytes() }
 // Table exposes the backing columnar table.
 func (s *SpanStore) Table() *storage.Table { return s.table }
 
-// SpanList returns spans with StartTime in [from, to), newest-first,
-// capped at limit (0 = unlimited) — the paper's span-list query (Fig. 15).
-func (s *SpanStore) SpanList(from, to time.Time, limit int) []*trace.Span {
-	s.mu.Lock() // full lock: the query lazily re-sorts the time index
+// search walks the time index from `to` back to `from`, newest first,
+// and returns up to limit spans matching q (limit 0 = every match) in the
+// total order StartTime descending, span ID descending on ties, plus the
+// number of rows it examined. It stops at the limit-th match, so a page
+// costs the rows up to that match, not the whole window.
+func (s *SpanStore) search(from, to time.Time, q *spanQuery, limit int) ([]*trace.Span, int) {
+	s.mu.Lock() // full lock: the first search after an insert settles the index
 	defer s.mu.Unlock()
-	if s.timeDirty {
-		sort.Slice(s.timeIdx, func(i, j int) bool {
-			return s.spans[s.timeIdx[i]].StartTime.Before(s.spans[s.timeIdx[j]].StartTime)
-		})
-		s.timeDirty = false
+	if s.timeSorted < len(s.timeIdx) {
+		settleTimeIndex(s.spans, s.timeIdx, s.timeSorted)
+		s.timeSorted = len(s.timeIdx)
 	}
-	fromNS, toNS := from, to
-	// Binary search the window bounds.
-	lo := sort.Search(len(s.timeIdx), func(i int) bool {
-		return !s.spans[s.timeIdx[i]].StartTime.Before(fromNS)
-	})
-	hi := sort.Search(len(s.timeIdx), func(i int) bool {
-		return !s.spans[s.timeIdx[i]].StartTime.Before(toNS)
+	spans, idx := s.spans, s.timeIdx
+	hi := sort.Search(len(idx), func(i int) bool {
+		return !spans[idx[i]].StartTime.Before(to)
 	})
 	var out []*trace.Span
-	for i := hi - 1; i >= lo; i-- {
-		out = append(out, s.spans[s.timeIdx[i]])
-		if limit > 0 && len(out) >= limit {
+	scanned := 0
+	for i := hi - 1; i >= 0; i-- {
+		sp := spans[idx[i]]
+		if sp.StartTime.Before(from) {
+			break
+		}
+		scanned++
+		if !q.matches(sp) {
+			continue
+		}
+		if out == nil && limit > 0 {
+			out = make([]*trace.Span, 0, min(limit, i+1))
+		}
+		out = append(out, sp)
+		if len(out) == limit {
 			break
 		}
 	}
-	return out
+	return out, scanned
+}
+
+// compareRows orders rows a and b of spans by the time index's total
+// order: StartTime, then span ID.
+func compareRows(spans []*trace.Span, a, b int) int {
+	x, y := spans[a], spans[b]
+	if c := x.StartTime.Compare(y.StartTime); c != 0 {
+		return c
+	}
+	return cmp.Compare(x.ID, y.ID)
+}
+
+// sortRows puts rows in compareRows order. The sort keys are copied out
+// first, so comparisons read one contiguous slice instead of chasing a
+// span pointer each; that matters for the first search after a restart,
+// which sorts every replayed row. Every stored span arrived through the
+// wire format, which carries StartTime as UnixNano, so that key is exact.
+func sortRows(spans []*trace.Span, rows []int) {
+	type key struct {
+		startNS int64
+		id      trace.SpanID
+		row     int
+	}
+	keys := make([]key, len(rows))
+	for i, row := range rows {
+		keys[i] = key{spans[row].StartTime.UnixNano(), spans[row].ID, row}
+	}
+	slices.SortFunc(keys, func(a, b key) int {
+		if c := cmp.Compare(a.startNS, b.startNS); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.id, b.id)
+	})
+	for i, k := range keys {
+		rows[i] = k.row
+	}
+}
+
+// settleTimeIndex puts idx fully in compareRows order, given that
+// idx[:sorted] already is. Only the tail (the rows inserted since the last
+// search, typically one batch) is sorted; it is then merged backwards into
+// the prefix, which moves just the prefix rows that sort after the tail's
+// first row. A batch of late spans therefore costs O(tail·log tail +
+// overlap), and an in-order batch costs its own sort alone.
+func settleTimeIndex(spans []*trace.Span, idx []int, sorted int) {
+	tail := idx[sorted:]
+	sortRows(spans, tail)
+	if sorted == 0 || compareRows(spans, idx[sorted-1], tail[0]) <= 0 {
+		return
+	}
+	pending := append([]int(nil), tail...)
+	i, w := sorted-1, len(idx)-1
+	for j := len(pending) - 1; j >= 0; w-- {
+		if i >= 0 && compareRows(spans, idx[i], pending[j]) > 0 {
+			idx[w] = idx[i]
+			i--
+		} else {
+			idx[w] = pending[j]
+			j--
+		}
+	}
 }
 
 // relatedMasked returns the row IDs sharing any enabled association key

@@ -72,6 +72,9 @@ go test -run TestBreakdownExactnessGate -count=1 ./internal/experiments
 echo ">> dfbench critpath (writes BENCH_critpath.json)"
 go run ./cmd/dfbench critpath
 
+echo ">> search-equivalence gate (QuerySpans/SpanList == brute-force filter+sort+truncate at 1 and 4 shards; filtered searches shard-count invisible)"
+go test -run 'TestQuerySpansMatchesReference|TestShardMergeDeterminism|TestSearchCostIsPageNotWindow' -count=1 ./internal/server
+
 echo ">> durable-storage gates (kill-and-replay determinism at 1 and 4 shards; clean shutdown replays zero WAL; TTL cascade keeps rollups exact)"
 go test -run 'TestDurableKillReplayDeterminism|TestDurableCleanShutdownZeroReplay|TestRetentionCascade' -count=1 ./internal/server
 go test -run 'TestStorageCorrectness|TestStorageServerKillReplay' -count=1 ./internal/experiments
